@@ -16,11 +16,12 @@
 //! whose rendering is byte-for-byte deterministic for a given seed — the
 //! audit trail the determinism suite fingerprints.
 
-use cumulus_cloud::InstanceType;
+use cumulus_cloud::{InstanceType, SpotMarket};
 use cumulus_provision::deploy::{GpCloud, GpError, GpInstanceId};
 use cumulus_provision::Topology;
 use cumulus_simkit::engine::Sim;
 use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::rng::RngStream;
 use cumulus_simkit::runner::{run_replicas, ReplicaPlan};
 use cumulus_simkit::telemetry::{span::keys as span_keys, Key, Payload, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
@@ -28,6 +29,7 @@ use cumulus_store::CacheFleet;
 
 use crate::policy::{ActuationFeedback, ScalingPolicy};
 use crate::signal::{percentile, SignalSample, SignalWindow};
+use crate::spot::{SpotEpisodeConfig, SpotEpisodeReport};
 use crate::workload::Workload;
 
 /// Metrics keys the controller records (see [`cumulus_simkit::metrics`]).
@@ -464,23 +466,10 @@ impl AutoScaler {
 // Episode driver
 // ---------------------------------------------------------------------
 
-/// Simulation worlds that own a [`GpCloud`] — the seam the episode
-/// drivers share so deferred-join scheduling lives in exactly one place.
-pub(crate) trait CloudHost {
-    /// The cloud the episode runs against.
-    fn cloud_mut(&mut self) -> &mut GpCloud;
-}
-
 /// Hold the freshly-launched `worker-{idx}` machines out of the pool and
 /// schedule their joins at `done` (provisioning-complete time).
-///
-/// The worker's instance type is re-read from the topology **at join
-/// time**, not captured at scale-out time: the slot may be scaled away
-/// and re-launched as a different type while the join event is in
-/// flight, and a machine built from the stale type would disagree with
-/// `topology.workers[idx]` on compute units and memory.
-pub(crate) fn defer_worker_joins<W: CloudHost + 'static>(
-    sim: &mut Sim<W>,
+fn defer_worker_joins(
+    sim: &mut Sim<EpisodeWorld>,
     id: &GpInstanceId,
     from: usize,
     to: usize,
@@ -494,20 +483,21 @@ pub(crate) fn defer_worker_joins<W: CloudHost + 'static>(
 /// Hold `worker-{idx}`'s machine out of the pool and schedule its join at
 /// `done` — one slot of [`defer_worker_joins`], also used by the spot
 /// repair path where replacement slots are not a contiguous range.
-pub(crate) fn defer_worker_join<W: CloudHost + 'static>(
-    sim: &mut Sim<W>,
-    id: &GpInstanceId,
-    idx: usize,
-    done: SimTime,
-) {
+///
+/// The worker's instance type is re-read from the topology **at join
+/// time**, not captured at scale-out time: the slot may be scaled away
+/// and re-launched as a different type while the join event is in
+/// flight, and a machine built from the stale type would disagree with
+/// `topology.workers[idx]` on compute units and memory.
+fn defer_worker_join(sim: &mut Sim<EpisodeWorld>, id: &GpInstanceId, idx: usize, done: SimTime) {
     let machine_name = format!("{id}.worker-{idx}");
-    if let Ok(inst) = sim.world.cloud_mut().instance_mut(id) {
+    if let Ok(inst) = sim.world.cloud.instance_mut(id) {
         let _ = inst.pool.drain_machine(&machine_name);
     }
     let jid = id.clone();
     sim.schedule_at(done, move |sim| {
         let now = sim.now();
-        let Ok(inst) = sim.world.cloud_mut().instance_mut(&jid) else {
+        let Ok(inst) = sim.world.cloud.instance_mut(&jid) else {
             return;
         };
         // The worker may have been scaled away again meanwhile; if it
@@ -522,9 +512,7 @@ pub(crate) fn defer_worker_join<W: CloudHost + 'static>(
             1,
         );
         let _ = inst.pool.add_machine(machine);
-        if let Ok(inst) = sim.world.cloud_mut().instance_mut(&jid) {
-            inst.pool.negotiate(now);
-        }
+        inst.pool.negotiate(now);
     });
 }
 
@@ -555,17 +543,32 @@ pub struct EpisodeReport {
     pub log: ActivityLog,
 }
 
+/// The world every episode simulates: the deployment, its controller,
+/// and the spot market striking its spot workers (calm for an
+/// all-on-demand episode).
 struct EpisodeWorld {
     cloud: GpCloud,
     scaler: AutoScaler,
+    market: SpotMarket,
     total_jobs: usize,
     submitted: usize,
     end_at: Option<SimTime>,
+    preemptions: usize,
+    requeued_jobs: usize,
 }
 
-impl CloudHost for EpisodeWorld {
-    fn cloud_mut(&mut self) -> &mut GpCloud {
-        &mut self.cloud
+impl EpisodeWorld {
+    fn new(cloud: GpCloud, scaler: AutoScaler, market: SpotMarket, total_jobs: usize) -> Self {
+        EpisodeWorld {
+            cloud,
+            scaler,
+            market,
+            total_jobs,
+            submitted: 0,
+            end_at: None,
+            preemptions: 0,
+            requeued_jobs: 0,
+        }
     }
 }
 
@@ -576,7 +579,8 @@ impl CloudHost for EpisodeWorld {
 /// controller is a recurring tick, and worker *joins are deferred* — a
 /// scaled-out worker only starts accepting jobs once its provisioning
 /// (boot + converge) completes, so reaction lag is paid honestly by every
-/// policy.
+/// policy. This is [`run_spot_episode`](crate::spot::run_spot_episode)'s
+/// episode with an all-on-demand fleet and a calm market.
 ///
 /// # Panics
 /// Panics if the deployment fails or the episode exceeds its step budget
@@ -587,22 +591,48 @@ pub fn run_episode(
     config: ControllerConfig,
     workload: &Workload,
 ) -> EpisodeReport {
+    let config = SpotEpisodeConfig {
+        controller: config,
+        ..SpotEpisodeConfig::default()
+    };
+    run_episode_with_market(seed, policy, None, &config, workload).base
+}
+
+/// The episode behind [`run_episode`] and
+/// [`run_spot_episode`](crate::spot::run_spot_episode): workers at index
+/// `spot_floor` and above launch as spot capacity, and a market drawn from
+/// `config` reclaims them along a seeded timeline (see the
+/// [`spot`](crate::spot) module docs for the reclaim lifecycle).
+pub(crate) fn run_episode_with_market(
+    seed: u64,
+    policy: Box<dyn ScalingPolicy>,
+    spot_floor: Option<usize>,
+    config: &SpotEpisodeConfig,
+    workload: &Workload,
+) -> SpotEpisodeReport {
     let mut cloud = GpCloud::deterministic(seed);
+    cloud.set_spot_worker_floor(spot_floor);
     let id = cloud.create_instance(Topology::single_node(InstanceType::M1Small));
     let ready = cloud
         .start_instance(SimTime::ZERO, &id)
         .expect("single-node deployment succeeds")
         .ready_at;
-    let scaler = AutoScaler::new(policy, config.clone());
+    let scaler = AutoScaler::new(policy, config.controller.clone());
     let policy_name = scaler.policy_name();
 
-    let mut sim = Sim::new(EpisodeWorld {
-        cloud,
-        scaler,
-        total_jobs: workload.len(),
-        submitted: 0,
-        end_at: None,
-    });
+    // The market timeline covers deployment + trace + the drain tail.
+    let victims = RngStream::derive(seed, "spot/market-victims");
+    let market = match config.mean_preemption_interval {
+        Some(mean) => {
+            let mut events = RngStream::derive(seed, "spot/market-events");
+            let horizon = ready.since(SimTime::ZERO) + workload.duration() + config.horizon_slack;
+            SpotMarket::poisson(&mut events, victims, horizon, mean)
+        }
+        None => SpotMarket::calm(victims),
+    };
+    let plan = market.plan().clone();
+
+    let mut sim = Sim::new(EpisodeWorld::new(cloud, scaler, market, workload.len()));
     sim.fast_forward(ready);
 
     // Arrivals: submit and negotiate immediately (job starts are not
@@ -623,9 +653,62 @@ pub fn run_episode(
         });
     }
 
+    // The market: each plan point is one strike. A strike that lands
+    // serves a notice; the follow-through at the deadline settles the
+    // reclaim, repairs the slot, and defers the replacement's pool join
+    // to its provisioning-complete time.
+    let mid = id.clone();
+    plan.schedule_points_into(&mut sim, move |sim, _d| {
+        let now = sim.now();
+        let reclaim = {
+            let w = &mut sim.world;
+            if w.end_at.is_some() {
+                return;
+            }
+            let Some(r) = w.market.strike(now, &mut w.cloud.ec2) else {
+                return;
+            };
+            w.preemptions += 1;
+            r
+        };
+        let rid = mid.clone();
+        sim.schedule_at(reclaim.deadline, move |sim| {
+            let now = sim.now();
+            let joins: Vec<(usize, SimTime)> = {
+                let w = &mut sim.world;
+                if w.end_at.is_some() {
+                    return;
+                }
+                w.cloud.ec2.settle(now);
+                let Ok(report) = w.cloud.repair_instance(now, &rid) else {
+                    return;
+                };
+                w.requeued_jobs += report.requeued().len();
+                let mut joins = Vec::new();
+                if let Some(ready_at) = report.repaired_at {
+                    for lost in &report.lost {
+                        if let Some(idx) = lost.worker_index {
+                            joins.push((idx, ready_at));
+                        }
+                    }
+                }
+                // Requeued jobs rematch onto whatever capacity survives.
+                if let Ok(inst) = w.cloud.instance_mut(&rid) {
+                    inst.pool.negotiate(now);
+                }
+                joins
+            };
+            // repair added each replacement's pool machine eagerly; hold
+            // it out until its provisioning lands.
+            for (idx, ready_at) in joins {
+                defer_worker_join(sim, &rid, idx, ready_at);
+            }
+        });
+    });
+
     // The control loop.
     let tid = id.clone();
-    sim.schedule_every(ready, config.tick, move |sim| {
+    sim.schedule_every(ready, config.controller.tick, move |sim| {
         let now = sim.now();
         let decision = {
             let w = &mut sim.world;
@@ -681,7 +764,7 @@ pub fn run_episode(
         .map(|t| t.since(ready).as_mins_f64())
         .unwrap_or(0.0);
     let log = world.scaler.log;
-    EpisodeReport {
+    let base = EpisodeReport {
         policy: policy_name,
         workload: workload.name.clone(),
         ready_at: ready,
@@ -698,6 +781,13 @@ pub fn run_episode(
             .max()
             .unwrap_or(0),
         log,
+    };
+    SpotEpisodeReport {
+        base,
+        preemptions: world.preemptions,
+        requeued_jobs: world.requeued_jobs,
+        total_evictions: pool.total_evictions(),
+        retried_jobs: pool.retried_jobs(),
     }
 }
 
@@ -972,18 +1062,10 @@ mod tests {
         // away and re-launched as a *different* type before the join
         // fires, the joining machine's resources must match the current
         // topology, not the stale capture.
-        struct World {
-            cloud: GpCloud,
-        }
-        impl CloudHost for World {
-            fn cloud_mut(&mut self) -> &mut GpCloud {
-                &mut self.cloud
-            }
-        }
-        let mut cloud = GpCloud::deterministic(106);
-        let id = cloud.create_instance(Topology::single_node(InstanceType::M1Small));
-        let ready = cloud.start_instance(SimTime::ZERO, &id).unwrap().ready_at;
-        let mut sim = Sim::new(World { cloud });
+        let (cloud, id, ready) = running_single(106);
+        let scaler = AutoScaler::new(Box::new(Fixed(0)), ControllerConfig::default());
+        let market = SpotMarket::calm(RngStream::derive(106, "victims"));
+        let mut sim = Sim::new(EpisodeWorld::new(cloud, scaler, market, 0));
         sim.fast_forward(ready);
 
         // Scale out to one c1.medium; hold its join until provisioning

@@ -25,9 +25,10 @@
 //!   trail; plus [`run_episode`], which drives a whole workload through a
 //!   deployment inside the DES;
 //! * [`spot`] — the cost dimension: a [`SpotMix`] fleet-mix wrapper
-//!   (on-demand core, spot tail) and [`run_spot_episode`], the episode
-//!   driver that exposes the spot tail to a seeded preemption market and
-//!   plays every reclaim out end to end (notice → requeue → repair);
+//!   (on-demand core, spot tail) and [`run_spot_episode`], which runs the
+//!   same episode with the spot tail exposed to a seeded preemption
+//!   market and plays every reclaim out end to end (notice → requeue →
+//!   repair);
 //! * [`workload`] — seeded open-loop arrival generators (burst, Poisson,
 //!   diurnal).
 //!

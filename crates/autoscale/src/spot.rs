@@ -21,28 +21,22 @@
 //!    requeued jobs renegotiate onto whatever capacity survives.
 //!
 //! The episode is byte-deterministic for a seed: the market timeline and
-//! victim choices come from named [`RngStream`]s, so a calm market with a
-//! zero spot fraction reproduces [`run_episode`] exactly.
+//! victim choices come from named [`RngStream`]s. There is one episode
+//! driver: [`run_episode`] is this episode with a calm market and no spot
+//! floor.
 //!
+//! [`SpotMarket`]: cumulus_cloud::SpotMarket
+//! [`RngStream`]: cumulus_simkit::rng::RngStream
 //! [`Ec2Sim::preempt_instance`]: cumulus_cloud::Ec2Sim::preempt_instance
 //! [`GpCloud::repair_instance`]: cumulus_provision::deploy::GpCloud
 //! [`Disruptable`]: cumulus_simkit::disrupt::Disruptable
 //! [`run_episode`]: crate::controller::run_episode
 
-use cumulus_cloud::{InstanceType, SpotMarket};
-use cumulus_provision::deploy::GpCloud;
-use cumulus_provision::Topology;
-use cumulus_simkit::engine::Sim;
-use cumulus_simkit::rng::RngStream;
 use cumulus_simkit::runner::{run_replicas, ReplicaPlan};
-use cumulus_simkit::time::{SimDuration, SimTime};
+use cumulus_simkit::time::SimDuration;
 
-use crate::controller::{
-    defer_worker_join, defer_worker_joins, Action, AutoScaler, CloudHost, ControllerConfig,
-    EpisodeReport,
-};
+use crate::controller::{run_episode_with_market, ControllerConfig, EpisodeReport};
 use crate::policy::ScalingPolicy;
-use crate::signal::percentile;
 use crate::workload::Workload;
 
 /// Fleet-mix parameters for [`SpotMix`].
@@ -158,29 +152,12 @@ pub struct SpotEpisodeReport {
     pub retried_jobs: usize,
 }
 
-struct SpotEpisodeWorld {
-    cloud: GpCloud,
-    scaler: AutoScaler,
-    market: SpotMarket,
-    total_jobs: usize,
-    submitted: usize,
-    end_at: Option<SimTime>,
-    preemptions: usize,
-    requeued_jobs: usize,
-}
-
-impl CloudHost for SpotEpisodeWorld {
-    fn cloud_mut(&mut self) -> &mut GpCloud {
-        &mut self.cloud
-    }
-}
-
 /// Deploy a single-node Galaxy instance and run `workload` through it
 /// under a spot/on-demand fleet mix while a seeded spot market reclaims
-/// spot workers. See the module docs for the reclaim lifecycle; apart
-/// from the market this is [`run_episode`][crate::controller::run_episode]
-/// — same deployment, same arrival wiring, same control loop — so a calm
-/// market with a zero spot fraction reproduces it number for number.
+/// spot workers. See the module docs for the reclaim lifecycle; the
+/// episode is [`run_episode`][crate::controller::run_episode]'s — same
+/// deployment, same arrival wiring, same control loop — so a calm market
+/// with a zero spot fraction reproduces it number for number.
 ///
 /// # Panics
 /// Panics if the deployment fails or the episode exceeds its step budget
@@ -192,194 +169,7 @@ pub fn run_spot_episode<P: ScalingPolicy + 'static>(
     workload: &Workload,
 ) -> SpotEpisodeReport {
     let floor = policy.on_demand_floor();
-    let mut cloud = GpCloud::deterministic(seed);
-    cloud.set_spot_worker_floor(floor);
-    let id = cloud.create_instance(Topology::single_node(InstanceType::M1Small));
-    let ready = cloud
-        .start_instance(SimTime::ZERO, &id)
-        .expect("single-node deployment succeeds")
-        .ready_at;
-    let scaler = AutoScaler::new(Box::new(policy), config.controller.clone());
-    let policy_name = scaler.policy_name();
-
-    // The market timeline covers deployment + trace + the drain tail.
-    let market = match config.mean_preemption_interval {
-        Some(mean) => {
-            let mut events = RngStream::derive(seed, "spot/market-events");
-            let horizon = ready.since(SimTime::ZERO) + workload.duration() + config.horizon_slack;
-            SpotMarket::poisson(
-                &mut events,
-                RngStream::derive(seed, "spot/market-victims"),
-                horizon,
-                mean,
-            )
-        }
-        None => SpotMarket::calm(RngStream::derive(seed, "spot/market-victims")),
-    };
-    let plan = market.plan().clone();
-
-    let mut sim = Sim::new(SpotEpisodeWorld {
-        cloud,
-        scaler,
-        market,
-        total_jobs: workload.len(),
-        submitted: 0,
-        end_at: None,
-        preemptions: 0,
-        requeued_jobs: 0,
-    });
-    sim.fast_forward(ready);
-
-    // Arrivals: submit and negotiate immediately, exactly as run_episode.
-    for a in &workload.arrivals {
-        let aid = id.clone();
-        let owner = a.owner.clone();
-        let work = a.work;
-        sim.schedule_at(ready + a.at, move |sim| {
-            let now = sim.now();
-            let w = &mut sim.world;
-            if let Ok(inst) = w.cloud.instance_mut(&aid) {
-                inst.pool.submit(cumulus_htc::Job::new(&owner, work), now);
-                inst.pool.settle(now);
-                inst.pool.negotiate(now);
-            }
-            w.submitted += 1;
-        });
-    }
-
-    // The market: each plan point is one strike. A strike that lands
-    // serves a notice; the follow-through at the deadline settles the
-    // reclaim, repairs the slot, and defers the replacement's pool join
-    // to its provisioning-complete time.
-    let mid = id.clone();
-    plan.schedule_points_into(&mut sim, move |sim, _d| {
-        let now = sim.now();
-        let reclaim = {
-            let w = &mut sim.world;
-            if w.end_at.is_some() {
-                return;
-            }
-            let Some(r) = w.market.strike(now, &mut w.cloud.ec2) else {
-                return;
-            };
-            w.preemptions += 1;
-            r
-        };
-        let rid = mid.clone();
-        sim.schedule_at(reclaim.deadline, move |sim| {
-            let now = sim.now();
-            let joins: Vec<(usize, SimTime)> = {
-                let w = &mut sim.world;
-                if w.end_at.is_some() {
-                    return;
-                }
-                w.cloud.ec2.settle(now);
-                let Ok(report) = w.cloud.repair_instance(now, &rid) else {
-                    return;
-                };
-                w.requeued_jobs += report.requeued().len();
-                let mut joins = Vec::new();
-                if let Some(ready_at) = report.repaired_at {
-                    for lost in &report.lost {
-                        if let Some(idx) = lost.worker_index {
-                            joins.push((idx, ready_at));
-                        }
-                    }
-                }
-                // Requeued jobs rematch onto whatever capacity survives.
-                if let Ok(inst) = w.cloud.instance_mut(&rid) {
-                    inst.pool.negotiate(now);
-                }
-                joins
-            };
-            // repair added each replacement's pool machine eagerly; hold
-            // it out until its provisioning lands.
-            for (idx, ready_at) in joins {
-                defer_worker_join(sim, &rid, idx, ready_at);
-            }
-        });
-    });
-
-    // The control loop — identical to run_episode's.
-    let tid = id.clone();
-    let tick = config.controller.tick;
-    sim.schedule_every(ready, tick, move |sim| {
-        let now = sim.now();
-        let decision = {
-            let w = &mut sim.world;
-            if let Ok(inst) = w.cloud.instance_mut(&tid) {
-                inst.pool.settle(now);
-            }
-            w.scaler
-                .tick(now, &mut w.cloud, &tid)
-                .expect("controller tick against a running instance")
-        };
-
-        if let (Action::ScaleOut { from, to }, Some(done)) = (&decision.action, decision.done_at) {
-            defer_worker_joins(sim, &tid, *from, *to, done);
-        }
-
-        let w = &mut sim.world;
-        if let Ok(inst) = w.cloud.instance_mut(&tid) {
-            inst.pool.negotiate(now);
-        }
-
-        let inst = w.cloud.instance(&tid).expect("instance exists");
-        let drained = w.submitted == w.total_jobs
-            && inst.pool.idle_count() == 0
-            && inst.pool.running_count() == 0;
-        if drained {
-            let wtype = w.scaler.config.worker_type;
-            let _ = w.cloud.scale_workers(now, &tid, 0, wtype);
-            w.end_at = Some(now);
-            false
-        } else {
-            true
-        }
-    });
-
-    let _ = sim.run(SimTime::MAX, 50_000_000);
-    let end_at = sim.world.end_at.expect("episode drains within budget");
-
-    let world = sim.world;
-    let pool = &world.cloud.instance(&id).expect("instance exists").pool;
-    let waits_mins: Vec<f64> = pool
-        .completed_waits()
-        .iter()
-        .map(|d| d.as_mins_f64())
-        .collect();
-    let makespan_mins = pool
-        .last_completion_at()
-        .map(|t| t.since(ready).as_mins_f64())
-        .unwrap_or(0.0);
-    let total_evictions = pool.total_evictions();
-    let retried_jobs = pool.retried_jobs();
-    let log = world.scaler.log;
-    let base = EpisodeReport {
-        policy: policy_name,
-        workload: workload.name.clone(),
-        ready_at: ready,
-        end_at,
-        makespan_mins,
-        cost_usd: world.cloud.ec2.ledger.window_cost(ready, end_at),
-        wait_p50_mins: percentile(&waits_mins, 0.50),
-        wait_p95_mins: percentile(&waits_mins, 0.95),
-        jobs: waits_mins.len(),
-        peak_workers: log
-            .entries
-            .iter()
-            .map(|d| d.sample.workers)
-            .max()
-            .unwrap_or(0),
-        log,
-    };
-    SpotEpisodeReport {
-        base,
-        preemptions: world.preemptions,
-        requeued_jobs: world.requeued_jobs,
-        total_evictions,
-        retried_jobs,
-    }
+    run_episode_with_market(seed, Box::new(policy), floor, &config, workload)
 }
 
 /// Run `combos` independent spot episodes against the same workload and

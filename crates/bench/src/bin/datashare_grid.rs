@@ -9,7 +9,7 @@
 //!
 //! `--quick` trims the grid to the CI smoke shape (the two cells the
 //! ≥ 2× staging-reduction claim compares); the determinism assertion and
-//! the claim check still run.
+//! the claim check still run, and the committed JSON is left as it is.
 
 //!
 //! `--report` appends the telemetry episode report: every job's walltime
@@ -59,7 +59,7 @@ fn main() {
         print!("\n{episode}");
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e13.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_e13.json");
-    eprintln!("wrote {path}");
+    if !quick {
+        cumulus_bench::write_repo_file("BENCH_e13.json", &doc);
+    }
 }

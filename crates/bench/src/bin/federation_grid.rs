@@ -9,7 +9,8 @@
 //!
 //! `--quick` trims the grid to the CI smoke shape (the claim cells:
 //! 3 sites, 50 Mbit/s WAN, cost-greedy vs data-gravity under both data
-//! scenarios); the determinism assertion and the claim checks still run.
+//! scenarios); the determinism assertion and the claim checks still run,
+//! and the committed JSON is left as it is.
 //!
 //! `--report` appends the WAN decomposition: per cell, staged bytes
 //! split into intra-site rungs vs cross-site WAN pulls.
@@ -58,7 +59,7 @@ fn main() {
         }
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e15.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_e15.json");
-    eprintln!("wrote {path}");
+    if !quick {
+        cumulus_bench::write_repo_file("BENCH_e15.json", &doc);
+    }
 }

@@ -10,7 +10,8 @@
 //! `--quick` trims the grid to the CI smoke shape (the three cells at the
 //! claim rate); the determinism assertion and the claim checks still run:
 //! no-recovery fails where retry+resume completes, and blind retry
-//! re-stages at least the claimed multiple of resume's repeat bytes.
+//! re-stages at least the claimed multiple of resume's repeat bytes. The
+//! committed JSON is left as it is.
 
 use cumulus_bench::experiments::recovery;
 
@@ -58,7 +59,7 @@ fn main() {
 
     print!("{table}");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e14.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_e14.json");
-    eprintln!("wrote {path}");
+    if !quick {
+        cumulus_bench::write_repo_file("BENCH_e14.json", &doc);
+    }
 }

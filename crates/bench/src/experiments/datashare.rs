@@ -11,6 +11,9 @@
 //! pool: jobs arrive on a seeded clock, negotiation runs on the standard
 //! 20 s cycle, and each match charges its staging plan (priced by
 //! [`cumulus::store::DataPlane`]'s source ladder) before the job starts.
+//! The pool is a 1-site federation driven by E15's episode loop
+//! (`federation::run_episode`) with no autoscaler, so the single-region
+//! grid and the federated grid share one driver.
 //! Under the cached backend, jobs advertise input [`ContentId`]s and
 //! machines advertise cache contents, so the matchmaker's cache-affinity
 //! bonus steers repeat consumers back to warm workers. Cells fan out over
@@ -22,33 +25,28 @@
 //! an object store win at high reuse — the claim line asserts a ≥ 2×
 //! staging-time reduction for the warm-cache cell.
 
-use std::collections::BTreeMap;
-
-use cumulus::htc::{
-    CondorPool, Job, JobId, Machine, Value, WorkSpec, JOB_INPUT_CIDS_ATTR, MACHINE_CACHE_CIDS_ATTR,
-    NEGOTIATION_INTERVAL,
-};
+use cumulus::cloud::InstanceType;
+use cumulus::federation::{Federation, PlacementPolicy, Placer, SiteConfig, WanTopology};
+use cumulus::htc::WorkSpec;
 use cumulus::provision::json::Json;
-use cumulus::simkit::metrics::Metrics;
 use cumulus::simkit::rng::RngStream;
 use cumulus::simkit::runner::{run_replicas, ReplicaPlan};
 use cumulus::simkit::telemetry::{assemble, JobBreakdown, SpanKind, Telemetry};
 use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::store::staging::keys as staging_keys;
-use cumulus::store::{
-    ContentId, DataPlane, DataSize, EvictionPolicy, InputSpec, ObjectStoreConfig, SharingBackend,
-};
+use cumulus::store::{ContentId, DataSize, InputSpec, SharingBackend};
 
-use crate::table::{mins, Table};
+use crate::experiments::federation::{self, Invocation};
+use crate::table::{mins, round4, Table};
 
 /// Workers in the pool (the paper's four-node §V deployment).
-pub(crate) const WORKERS: usize = 4;
+const WORKERS: usize = 4;
 /// Jobs per episode.
 const JOBS: usize = 24;
 /// Every dataset in the sweep is this big (the four-CEL batch scale).
 const DATASET_MB: u64 = 200;
 /// NFS export bandwidth, Mbit/s (the E9 contention model's default).
-pub(crate) const NFS_BANDWIDTH_MBPS: f64 = 400.0;
+const NFS_BANDWIDTH_MBPS: f64 = 400.0;
 /// The warm-cache claim: staging time must drop at least this much vs
 /// the NFS baseline on the high-reuse column.
 pub const MIN_STAGING_REDUCTION: f64 = 2.0;
@@ -204,28 +202,16 @@ pub fn grid_combos(quick: bool) -> Vec<(BackendSpec, Reuse)> {
 
 /// The content id of dataset `idx` — a stable name, so every cell of the
 /// sweep sees the same contents.
-pub(crate) fn dataset_cid(idx: usize) -> ContentId {
+fn dataset_cid(idx: usize) -> ContentId {
     ContentId::of_str(&format!("e13-dataset-{idx}"))
 }
 
-/// Size of every E13 dataset.
-pub(crate) fn dataset_size() -> DataSize {
-    DataSize::from_mb(DATASET_MB)
-}
-
-/// One job of the fixed stream: arrival, work, dataset consumed.
-pub(crate) struct StreamJob {
-    pub(crate) submit_at: SimTime,
-    pub(crate) work: WorkSpec,
-    pub(crate) dataset: usize,
-}
-
-/// The job stream every cell replays: arrivals on a seeded clock
-/// (10–50 s gaps), 90–150 s of serial work, datasets assigned round-robin
-/// so reuse is spread across the episode. Derived from the master seed
-/// directly — **not** the per-replica seed — so all cells compare the
-/// same workload.
-pub(crate) fn job_stream(seed: u64, reuse: Reuse) -> Vec<StreamJob> {
+/// The job stream every cell replays, all submitted by `galaxy`:
+/// arrivals on a seeded clock (10–50 s gaps), 90–150 s of serial work,
+/// datasets assigned round-robin so reuse is spread across the episode.
+/// Derived from the master seed directly — **not** the per-replica seed —
+/// so all cells compare the same workload.
+fn job_stream(seed: u64, reuse: Reuse) -> Vec<Invocation> {
     let mut arrivals = RngStream::derive(seed, "e13-arrivals");
     let mut work = RngStream::derive(seed, "e13-work");
     let datasets = reuse.dataset_count();
@@ -233,10 +219,14 @@ pub(crate) fn job_stream(seed: u64, reuse: Reuse) -> Vec<StreamJob> {
     (0..JOBS)
         .map(|j| {
             at += SimDuration::from_secs_f64(arrivals.uniform_range(10.0, 50.0));
-            StreamJob {
+            Invocation {
                 submit_at: at,
+                user: "galaxy".to_string(),
                 work: WorkSpec::serial(90.0 + work.uniform_range(0.0, 60.0)),
-                dataset: j % datasets,
+                input: InputSpec {
+                    cid: dataset_cid(j % datasets),
+                    size: DataSize::from_mb(DATASET_MB),
+                },
             }
         })
         .collect()
@@ -252,90 +242,35 @@ pub fn run_cell(seed: u64, spec: BackendSpec, reuse: Reuse) -> CellReport {
 /// lifecycle spans land on it (nothing is recorded through a disabled
 /// handle, so `run_cell` itself stays allocation-free).
 pub fn run_cell_on(seed: u64, spec: BackendSpec, reuse: Reuse, telemetry: Telemetry) -> CellReport {
-    let stream = job_stream(seed, reuse);
-
-    let metrics = Metrics::new();
-    let mut plane = DataPlane::new(
-        spec.backend(),
-        NFS_BANDWIDTH_MBPS,
-        ObjectStoreConfig::default(),
-        spec.cache_capacity(),
-        EvictionPolicy::Lru,
-    );
-    plane.set_metrics(metrics.clone());
+    let mut config = SiteConfig::new("us-east", WORKERS, InstanceType::M1Small)
+        .with_backend(spec.backend())
+        .with_cache_capacity(spec.cache_capacity());
+    config.nfs_bandwidth_mbps = NFS_BANDWIDTH_MBPS;
+    let mut fed = Federation::provision(vec![config], WanTopology::new(), SimTime::ZERO);
+    fed.set_telemetry(telemetry);
     for idx in 0..reuse.dataset_count() {
-        plane.seed_dataset(dataset_cid(idx), DataSize::from_mb(DATASET_MB));
+        fed.seed_dataset(0, dataset_cid(idx), DataSize::from_mb(DATASET_MB));
     }
 
-    let mut pool = CondorPool::new();
-    pool.set_telemetry(telemetry);
-    for w in 0..WORKERS {
-        pool.add_machine(Machine::new(&format!("worker-{w}"), 5.0, 1700, 1))
-            .expect("worker names are distinct");
-    }
+    let drained = federation::run_episode(
+        &mut fed,
+        &mut Placer::new(PlacementPolicy::RoundRobin),
+        &mut [],
+        &job_stream(seed, reuse),
+    );
 
-    let mut inputs_of: BTreeMap<JobId, InputSpec> = BTreeMap::new();
-    let mut now = SimTime::ZERO;
-    let mut submitted = 0;
-    let mut completed = 0;
-    let mut staging = SimDuration::ZERO;
-    let mut cycles = 0u32;
-    while completed < stream.len() {
-        cycles += 1;
-        assert!(cycles < 100_000, "E13 episode failed to drain");
-        completed += pool.settle(now).len();
-
-        while submitted < stream.len() && stream[submitted].submit_at <= now {
-            let job = &stream[submitted];
-            let cid = dataset_cid(job.dataset);
-            let builder =
-                Job::new("galaxy", job.work).attr(JOB_INPUT_CIDS_ATTR, Value::Str(cid.hex()));
-            let id = pool.submit(builder, now);
-            inputs_of.insert(
-                id,
-                InputSpec {
-                    cid,
-                    size: DataSize::from_mb(DATASET_MB),
-                },
-            );
-            submitted += 1;
-        }
-
-        let matches = pool.negotiate(now);
-        let concurrent = matches.len() as u32;
-        for m in &matches {
-            let input = inputs_of[&m.job];
-            let plan = plane.stage_job(&m.machine.0, &[input], concurrent);
-            staging += plan.total;
-            pool.extend_job(m.job, plan.total)
-                .expect("freshly matched job is running");
-            if spec.backend() == SharingBackend::CachedObjectStore {
-                let machine = pool.machine_mut(&m.machine.0).expect("matched machine");
-                machine.ad.set(
-                    MACHINE_CACHE_CIDS_ATTR,
-                    Value::Str(plane.fleet.attr_string(&m.machine.0)),
-                );
-            }
-        }
-
-        now += NEGOTIATION_INTERVAL;
-    }
-
-    let makespan = pool
-        .last_completion_at()
-        .expect("episode completed jobs")
-        .since(SimTime::ZERO);
-    let (cache_hits, cache_misses, _evictions) = plane.fleet.totals();
+    let site = fed.site(0);
+    let (cache_hits, cache_misses, _evictions) = site.plane.fleet.totals();
     CellReport {
-        jobs: completed,
-        makespan_mins: makespan.as_mins_f64(),
-        staging_secs: staging.as_secs_f64(),
-        bytes_local: metrics.counter(staging_keys::BYTES_LOCAL),
-        bytes_peer: metrics.counter(staging_keys::BYTES_PEER),
-        bytes_object: metrics.counter(staging_keys::BYTES_OBJECT),
-        bytes_nfs: metrics.counter(staging_keys::BYTES_NFS),
-        bytes_ingest: metrics.counter(staging_keys::BYTES_INGEST),
-        object_cost_usd: plane.object.cost_usd(),
+        jobs: drained.jobs,
+        makespan_mins: drained.end.since(SimTime::ZERO).as_mins_f64(),
+        staging_secs: drained.staging.as_secs_f64(),
+        bytes_local: site.metrics.counter(staging_keys::BYTES_LOCAL),
+        bytes_peer: site.metrics.counter(staging_keys::BYTES_PEER),
+        bytes_object: site.metrics.counter(staging_keys::BYTES_OBJECT),
+        bytes_nfs: site.metrics.counter(staging_keys::BYTES_NFS),
+        bytes_ingest: site.metrics.counter(staging_keys::BYTES_INGEST),
+        object_cost_usd: site.plane.object.cost_usd(),
         cache_hits,
         cache_misses,
     }
@@ -574,10 +509,6 @@ pub fn json_doc(seed: u64, rows: &[DatashareRow]) -> Json {
             Json::Num(round4(staging_reduction(rows))),
         ),
     ])
-}
-
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
 }
 
 #[cfg(test)]

@@ -23,9 +23,10 @@
 //! **concentrated**, data-gravity follows the bytes (no crossings, no
 //! egress) and beats cost-greedy on makespan at ≥ 50 % lower egress
 //! spend; when inputs are **spread** everywhere, gravity scatters work
-//! onto expensive sites and cost-greedy wins on total dollars. A 1-site
-//! federation reproduces the single-region E13 cells byte-for-byte (the
-//! regression test below).
+//! onto expensive sites and cost-greedy wins on total dollars.
+//!
+//! The episode loop, `run_episode`, is shared: E13's single-region
+//! grid runs on it as a 1-site federation with no autoscalers.
 
 use std::collections::BTreeMap;
 
@@ -46,8 +47,7 @@ use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::store::staging::keys as staging_keys;
 use cumulus::store::{ContentId, DataSize, InputSpec};
 
-use crate::experiments::datashare::{self, BackendSpec, CellReport, Reuse};
-use crate::table::{mins, Table};
+use crate::table::{mins, round4, Table};
 
 /// Users submitting workflow invocations.
 const USERS: usize = 4;
@@ -189,12 +189,13 @@ fn dataset_cid(idx: usize) -> ContentId {
     ContentId::of_str(&format!("e15-dataset-{idx}"))
 }
 
-/// One invocation of the fixed stream.
-struct Invocation {
-    submit_at: SimTime,
-    user: usize,
-    work: WorkSpec,
-    dataset: usize,
+/// One invocation of a fixed stream: when it arrives, who submits it,
+/// its work, and the one dataset it reads.
+pub(crate) struct Invocation {
+    pub(crate) submit_at: SimTime,
+    pub(crate) user: String,
+    pub(crate) work: WorkSpec,
+    pub(crate) input: InputSpec,
 }
 
 /// The invocation stream every cell replays: users round-robin on a
@@ -212,46 +213,49 @@ fn invocation_stream(seed: u64) -> Vec<Invocation> {
         .map(|j| {
             at += SimDuration::from_secs_f64(arrivals.uniform_range(5.0, 20.0));
             let user = j % USERS;
+            let dataset = user * DATASETS_PER_USER + (j / USERS) % DATASETS_PER_USER;
             Invocation {
                 submit_at: at,
-                user,
+                user: format!("user-{user}"),
                 work: WorkSpec::serial(90.0 + work.uniform_range(0.0, 60.0)),
-                dataset: user * DATASETS_PER_USER + (j / USERS) % DATASETS_PER_USER,
+                input: InputSpec {
+                    cid: dataset_cid(dataset),
+                    size: DataSize::from_mb(DATASET_MB),
+                },
             }
         })
         .collect()
 }
 
-/// Run one grid cell: provision the federation, seed the scenario's
-/// dataset placement, and drive the synchronous multi-site episode.
-pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
-    let stream = invocation_stream(seed);
-    let size = DataSize::from_mb(DATASET_MB);
+/// What [`run_episode`] measured.
+pub(crate) struct Drained {
+    /// Jobs completed (always the whole stream).
+    pub(crate) jobs: usize,
+    /// The latest completion across every site.
+    pub(crate) end: SimTime,
+    /// Staging time charged across every site.
+    pub(crate) staging: SimDuration,
+    /// Invocations routed to each site, in site order.
+    pub(crate) placements: Vec<usize>,
+}
 
-    let configs: Vec<SiteConfig> = CATALOG[..spec.sites]
-        .iter()
-        .map(|&(name, itype)| SiteConfig::new(name, SITE_WORKERS, itype))
-        .collect();
-    let wan = WanTopology::full_mesh(WanLink::new(WAN_LATENCY_MS, spec.wan_mbps));
-    let mut fed = Federation::provision(configs, wan, SimTime::ZERO);
-
-    let datasets = USERS * DATASETS_PER_USER;
-    for idx in 0..datasets {
-        let at = match spec.scenario {
-            // The catalog is priced ascending, so the last site is the
-            // most expensive — gravity must fight the price signal.
-            Scenario::Concentrated => spec.sites - 1,
-            Scenario::Spread => idx % spec.sites,
-        };
-        fed.seed_dataset(at, dataset_cid(idx), size);
-    }
-
-    let mut placer = Placer::new(spec.policy);
-    let mut scalers: Vec<SiteScaler> = (0..spec.sites)
-        .map(|_| SiteScaler::new(Box::new(QueueStep::new(2)), 3, MIN_WORKERS, MAX_WORKERS))
-        .collect();
-    let mut placements = vec![0usize; spec.sites];
-    let mut inputs_of: Vec<BTreeMap<JobId, InputSpec>> = vec![BTreeMap::new(); spec.sites];
+/// Drive `stream` through `fed` until every job completes: one
+/// synchronous Condor episode on the standard 20 s negotiation cycle.
+/// Each cycle settles every site's pool, routes the arrivals now due
+/// through `placer`, negotiates each site, stages every match through
+/// [`Federation::stage_job`] (charging the plan before the job starts),
+/// re-advertises the worker's cache contents for the matchmaker's
+/// cache-affinity bonus, and lets `scalers[s]` resize site `s`. Sites
+/// without a scaler keep their provisioned workers.
+pub(crate) fn run_episode(
+    fed: &mut Federation,
+    placer: &mut Placer,
+    scalers: &mut [SiteScaler],
+    stream: &[Invocation],
+) -> Drained {
+    let sites = fed.site_count();
+    let mut placements = vec![0usize; sites];
+    let mut inputs_of: Vec<BTreeMap<JobId, InputSpec>> = vec![BTreeMap::new(); sites];
 
     let mut now = SimTime::ZERO;
     let mut submitted = 0;
@@ -260,28 +264,27 @@ pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
     let mut cycles = 0u32;
     while completed < stream.len() {
         cycles += 1;
-        assert!(cycles < 100_000, "E15 episode failed to drain");
-        for s in 0..spec.sites {
+        assert!(cycles < 100_000, "episode failed to drain");
+        for s in 0..sites {
             completed += fed.site_mut(s).pool.settle(now).len();
         }
 
         while submitted < stream.len() && stream[submitted].submit_at <= now {
             let inv = &stream[submitted];
-            let cid = dataset_cid(inv.dataset);
-            let input = InputSpec { cid, size };
             let request = InvocationRequest {
                 id: submitted as u64,
-                user: format!("user-{}", inv.user),
+                user: inv.user.clone(),
                 workflow: "rna-seq".to_string(),
-                inputs: vec![input],
+                inputs: vec![inv.input],
             };
-            let site = fed.route(&mut placer, &request);
+            let site = fed.route(placer, &request);
             placements[site] += 1;
             let id = fed.site_mut(site).pool.submit(
-                Job::new(&request.user, inv.work).attr(JOB_INPUT_CIDS_ATTR, Value::Str(cid.hex())),
+                Job::new(&inv.user, inv.work)
+                    .attr(JOB_INPUT_CIDS_ATTR, Value::Str(inv.input.cid.hex())),
                 now,
             );
-            inputs_of[site].insert(id, input);
+            inputs_of[site].insert(id, inv.input);
             submitted += 1;
         }
 
@@ -324,7 +327,48 @@ pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
         now += NEGOTIATION_INTERVAL;
     }
 
-    let end = fed.last_completion_at().expect("episode completed jobs");
+    Drained {
+        jobs: completed,
+        end: fed.last_completion_at().expect("episode completed jobs"),
+        staging,
+        placements,
+    }
+}
+
+/// Run one grid cell: provision the federation, seed the scenario's
+/// dataset placement, and drive the synchronous multi-site episode.
+pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
+    let stream = invocation_stream(seed);
+    let size = DataSize::from_mb(DATASET_MB);
+
+    let configs: Vec<SiteConfig> = CATALOG[..spec.sites]
+        .iter()
+        .map(|&(name, itype)| SiteConfig::new(name, SITE_WORKERS, itype))
+        .collect();
+    let wan = WanTopology::full_mesh(WanLink::new(WAN_LATENCY_MS, spec.wan_mbps));
+    let mut fed = Federation::provision(configs, wan, SimTime::ZERO);
+
+    let datasets = USERS * DATASETS_PER_USER;
+    for idx in 0..datasets {
+        let at = match spec.scenario {
+            // The catalog is priced ascending, so the last site is the
+            // most expensive — gravity must fight the price signal.
+            Scenario::Concentrated => spec.sites - 1,
+            Scenario::Spread => idx % spec.sites,
+        };
+        fed.seed_dataset(at, dataset_cid(idx), size);
+    }
+
+    let mut scalers: Vec<SiteScaler> = (0..spec.sites)
+        .map(|_| SiteScaler::new(Box::new(QueueStep::new(2)), 3, MIN_WORKERS, MAX_WORKERS))
+        .collect();
+    let drained = run_episode(
+        &mut fed,
+        &mut Placer::new(spec.policy),
+        &mut scalers,
+        &stream,
+    );
+    let end = drained.end;
     fed.close_billing(end);
 
     let mut bytes_intra = 0u64;
@@ -337,15 +381,15 @@ pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
             + m.counter(staging_keys::BYTES_INGEST);
     }
     FedCellReport {
-        jobs: completed,
+        jobs: drained.jobs,
         makespan_mins: end.since(SimTime::ZERO).as_mins_f64(),
-        staging_secs: staging.as_secs_f64(),
+        staging_secs: drained.staging.as_secs_f64(),
         bytes_intra,
         bytes_cross: fed.wan_metrics().counter(wan_keys::BYTES_EGRESS),
         crossings: fed.wan_metrics().counter(wan_keys::CROSSINGS),
         egress_usd: fed.egress_cost_usd(end),
         compute_usd: fed.compute_cost_usd(end),
-        placements,
+        placements: drained.placements,
     }
 }
 
@@ -540,99 +584,6 @@ pub fn json_doc(seed: u64, rows: &[FederationRow]) -> Json {
     ])
 }
 
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
-}
-
-/// Run one E13 cell **through a 1-site federation**: same backend, same
-/// workload, same episode protocol as [`datashare::run_cell`], but with
-/// every plane call routed through [`Federation::stage_job`]. The
-/// regression test asserts the resulting [`CellReport`] is equal field
-/// for field — the federated rung must be invisible when there is no one
-/// to federate with.
-pub fn run_e13_cell_federated(seed: u64, spec: BackendSpec, reuse: Reuse) -> CellReport {
-    let stream = datashare::job_stream(seed, reuse);
-    let size = datashare::dataset_size();
-
-    let mut config = SiteConfig::new("solo", datashare::WORKERS, InstanceType::M1Small)
-        .with_backend(spec.backend())
-        .with_cache_capacity(spec.cache_capacity());
-    config.nfs_bandwidth_mbps = datashare::NFS_BANDWIDTH_MBPS;
-    let mut fed = Federation::provision(vec![config], WanTopology::new(), SimTime::ZERO);
-    for idx in 0..reuse.dataset_count() {
-        fed.seed_dataset(0, datashare::dataset_cid(idx), size);
-    }
-
-    let mut inputs_of: BTreeMap<JobId, InputSpec> = BTreeMap::new();
-    let mut now = SimTime::ZERO;
-    let mut submitted = 0;
-    let mut completed = 0;
-    let mut staging = SimDuration::ZERO;
-    let mut cycles = 0u32;
-    while completed < stream.len() {
-        cycles += 1;
-        assert!(cycles < 100_000, "federated E13 episode failed to drain");
-        completed += fed.site_mut(0).pool.settle(now).len();
-
-        while submitted < stream.len() && stream[submitted].submit_at <= now {
-            let job = &stream[submitted];
-            let cid = datashare::dataset_cid(job.dataset);
-            let id = fed.site_mut(0).pool.submit(
-                Job::new("galaxy", job.work).attr(JOB_INPUT_CIDS_ATTR, Value::Str(cid.hex())),
-                now,
-            );
-            inputs_of.insert(id, InputSpec { cid, size });
-            submitted += 1;
-        }
-
-        let matches = fed.site_mut(0).pool.negotiate(now);
-        let concurrent = matches.len() as u32;
-        for m in &matches {
-            let input = inputs_of[&m.job];
-            let plan = fed.stage_job(0, &m.machine.0, &[input], concurrent, now);
-            staging += plan.total;
-            let cache_ad = fed.site(0).plane.fleet.attr_string(&m.machine.0);
-            let site = fed.site_mut(0);
-            site.pool
-                .extend_job(m.job, plan.total)
-                .expect("freshly matched job is running");
-            if spec.backend() == cumulus::store::SharingBackend::CachedObjectStore {
-                let machine = site
-                    .pool
-                    .machine_mut(&m.machine.0)
-                    .expect("matched machine");
-                machine
-                    .ad
-                    .set(MACHINE_CACHE_CIDS_ATTR, Value::Str(cache_ad));
-            }
-        }
-
-        now += NEGOTIATION_INTERVAL;
-    }
-
-    assert_eq!(
-        fed.wan_metrics().counter(wan_keys::CROSSINGS),
-        0,
-        "a 1-site federation must never cross the WAN"
-    );
-    let end = fed.last_completion_at().expect("episode completed jobs");
-    let site = fed.site(0);
-    let (cache_hits, cache_misses, _evictions) = site.plane.fleet.totals();
-    CellReport {
-        jobs: completed,
-        makespan_mins: end.since(SimTime::ZERO).as_mins_f64(),
-        staging_secs: staging.as_secs_f64(),
-        bytes_local: site.metrics.counter(staging_keys::BYTES_LOCAL),
-        bytes_peer: site.metrics.counter(staging_keys::BYTES_PEER),
-        bytes_object: site.metrics.counter(staging_keys::BYTES_OBJECT),
-        bytes_nfs: site.metrics.counter(staging_keys::BYTES_NFS),
-        bytes_ingest: site.metrics.counter(staging_keys::BYTES_INGEST),
-        object_cost_usd: site.plane.object.cost_usd(),
-        cache_hits,
-        cache_misses,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,30 +630,6 @@ mod tests {
             let expected =
                 r.report.bytes_cross as f64 / 1e9 * cumulus::cloud::INTER_REGION_EGRESS_USD_PER_GB;
             assert!((r.report.egress_usd - expected).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn one_site_federation_reproduces_the_e13_grid() {
-        let seed = crate::REPORT_SEED;
-        for (spec, reuse) in [
-            (BackendSpec::Nfs, Reuse::High),
-            (BackendSpec::Object, Reuse::Low),
-            (BackendSpec::Cached(2048), Reuse::High),
-        ] {
-            let single = datashare::run_cell(seed, spec, reuse);
-            let federated = run_e13_cell_federated(seed, spec, reuse);
-            assert_eq!(single.jobs, federated.jobs);
-            assert_eq!(single.makespan_mins, federated.makespan_mins);
-            assert_eq!(single.staging_secs, federated.staging_secs);
-            assert_eq!(single.bytes_local, federated.bytes_local);
-            assert_eq!(single.bytes_peer, federated.bytes_peer);
-            assert_eq!(single.bytes_object, federated.bytes_object);
-            assert_eq!(single.bytes_nfs, federated.bytes_nfs);
-            assert_eq!(single.bytes_ingest, federated.bytes_ingest);
-            assert_eq!(single.object_cost_usd, federated.object_cost_usd);
-            assert_eq!(single.cache_hits, federated.cache_hits);
-            assert_eq!(single.cache_misses, federated.cache_misses);
         }
     }
 

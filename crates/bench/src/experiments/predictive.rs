@@ -27,7 +27,7 @@ use cumulus::simkit::time::SimDuration;
 use cumulus::simkit::{run_replicas, ReplicaPlan};
 
 use crate::experiments::extensions::diurnal_trace;
-use crate::table::{mins, Table};
+use crate::table::{mins, round4, Table};
 
 /// Fleet cap shared with the E9e closed-loop policy.
 const MAX_WORKERS: usize = 8;
@@ -318,10 +318,6 @@ pub fn json_doc(seed: u64, rows: &[PredictiveGridRow]) -> Json {
             Json::Num(round4(predictive.report.cost_usd)),
         ),
     ])
-}
-
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
 }
 
 #[cfg(test)]

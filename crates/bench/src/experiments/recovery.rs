@@ -43,7 +43,7 @@ use cumulus::store::{
     StagingSource,
 };
 
-use crate::table::{mins, Table};
+use crate::table::{mins, round4, Table};
 
 /// Spot workers in the pool at any moment (replacements keep it level).
 const WORKERS: usize = 3;
@@ -651,10 +651,6 @@ pub fn json_doc(seed: u64, rows: &[RecoveryRow]) -> Json {
             Json::Num(round4(restage_reduction(rows))),
         ),
     ])
-}
-
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use cumulus::provision::json::Json;
 use cumulus::simkit::time::SimDuration;
 
 use crate::experiments::extensions::diurnal_trace;
-use crate::table::{mins, Table};
+use crate::table::{mins, round4, Table};
 
 /// Fleet cap shared with the E9e closed-loop policy.
 const MAX_WORKERS: usize = 8;
@@ -264,10 +264,6 @@ pub fn json_doc(seed: u64, rows: &[SpotGridRow]) -> Json {
             )),
         ),
     ])
-}
-
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
 }
 
 #[cfg(test)]

@@ -101,6 +101,15 @@ pub fn threads_from_args(default: usize) -> usize {
     default
 }
 
+/// Write `doc` as `file` at the repo root. The grid binaries call it on
+/// full-grid runs only: a `--quick` grid is the trimmed CI smoke shape and
+/// must not replace the committed full-grid results.
+pub fn write_repo_file(file: &str, doc: &cumulus::provision::json::Json) {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, doc.render() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("wrote {path}");
+}
+
 /// Whether `--report` was passed: experiment binaries then append their
 /// telemetry episode report (per-job walltime decomposition assembled
 /// from lifecycle spans) after the regular table. Off by default so the

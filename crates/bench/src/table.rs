@@ -86,6 +86,12 @@ pub fn mbps(r: f64) -> String {
     format!("{r:.2}")
 }
 
+/// Round to four decimals — the precision of every `BENCH_*.json` grid
+/// figure.
+pub fn round4(x: f64) -> f64 {
+    (x * 1e4).round() / 1e4
+}
+
 /// Relative error as a percentage string.
 pub fn err_pct(measured: f64, paper: f64) -> String {
     if paper == 0.0 {

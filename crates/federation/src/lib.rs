@@ -29,9 +29,10 @@
 //! Everything is deterministic: directories and topologies iterate in
 //! `BTreeMap` order, replica sources resolve to the lowest holding site
 //! index, placement ties break to the lowest site index, and the WAN
-//! model is a pure function of (size, link, source cap). A 1-site
-//! federation reproduces the single-region data-sharing grid
-//! byte-for-byte (asserted by the E15 equivalence suite).
+//! model is a pure function of (size, link, source cap). With one site
+//! the plane adds nothing: the single-region data-sharing grid (E13)
+//! runs as a 1-site federation and still regenerates its committed
+//! results byte for byte.
 
 #![warn(missing_docs)]
 

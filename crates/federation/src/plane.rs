@@ -12,10 +12,9 @@
 //! PUT) so the next consumer stays local.
 //!
 //! With one site the remote rung never resolves (the directory holds no
-//! *other* site), every probe and counter falls through exactly as the
-//! single-region [`DataPlane`](cumulus_store::DataPlane) would, and the
-//! equivalence suite holds a
-//! 1-site federation byte-identical to the E13 grid.
+//! *other* site) and every probe and counter falls through exactly as the
+//! single-region [`DataPlane`](cumulus_store::DataPlane) would, which is
+//! why the E13 grid can run as a 1-site federation.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -17,15 +17,12 @@
 //! * [`retry`] — job-level retry over the pool: a `Held(reason)`-aware
 //!   resubmit loop with per-job attempt counters and dead-lettering,
 //!   consuming the shared `cumulus_simkit::retry` plane;
-//! * [`dag`] — DAGMan-lite dependency bookkeeping for workflow DAGs;
-//! * [`driver`] — an event-driven central manager running periodic
-//!   negotiation cycles inside the DES engine.
+//! * [`dag`] — DAGMan-lite dependency bookkeeping for workflow DAGs.
 
 #![warn(missing_docs)]
 
 pub mod classad;
 pub mod dag;
-pub mod driver;
 pub mod job;
 pub mod machine;
 pub mod pool;
@@ -33,7 +30,6 @@ pub mod retry;
 
 pub use classad::{ClassAd, CompiledExpr, Expr, ParseError, Symbol, Value};
 pub use dag::{DagError, DagRun, NodeStatus};
-pub use driver::{drive_pool, DriveReport};
 pub use job::{Job, JobBuilder, JobId, JobState, WorkSpec};
 pub use machine::{Machine, MachineName};
 pub use pool::{

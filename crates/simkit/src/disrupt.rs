@@ -18,10 +18,11 @@
 //!   disruptions. The driver owns the plan, the component owns the
 //!   reaction; the trait is the contract between them.
 //!
-//! `cumulus-net`'s `FaultPlan` is now a thin adapter over
-//! [`DisruptionPlan`]; `cumulus-cloud` implements [`Disruptable`] for its
-//! EC2 model (preemption with notice, hardware failure), and
-//! `cumulus-htc` for its Condor pool (machine eviction with job requeue).
+//! Network paths take their outage windows straight from a
+//! [`DisruptionPlan`] (the transfer service's fault plans);
+//! `cumulus-cloud` implements [`Disruptable`] for its EC2 model
+//! (preemption with notice, hardware failure), and `cumulus-htc` for its
+//! Condor pool (machine eviction with job requeue).
 
 use crate::engine::Sim;
 use crate::rng::RngStream;
@@ -200,9 +201,9 @@ impl DisruptionPlan {
     /// Poisson process with `mean_interval` between them, each lasting an
     /// exponential `mean_outage` duration.
     ///
-    /// The draw order (one interval, then one duration, per outage) is
-    /// the historical `cumulus-net` `FaultPlan::poisson` order, so plans
-    /// seeded the same way reproduce the same timelines bit for bit.
+    /// The draw order is fixed (one interval, then one duration, per
+    /// outage), so plans seeded the same way reproduce the same timelines
+    /// bit for bit.
     pub fn poisson_outages(
         rng: &mut RngStream,
         horizon: SimDuration,
@@ -411,6 +412,14 @@ mod tests {
     }
 
     #[test]
+    fn empty_plan_is_always_up() {
+        let plan = DisruptionPlan::none();
+        assert!(!plan.is_down(t(0)));
+        assert_eq!(plan.next_window_at(t(0)), None);
+        assert_eq!(plan.next_up_at(t(5)), t(5));
+    }
+
+    #[test]
     fn windows_merge_and_answer_queries() {
         let plan = DisruptionPlan::from_windows(vec![w(20, 40), w(10, 30), w(50, 60)]);
         assert_eq!(plan.windows(), &[w(10, 40), w(50, 60)]);
@@ -418,15 +427,13 @@ mod tests {
         assert!(!plan.is_down(t(40)), "half-open");
         assert_eq!(plan.next_up_at(t(15)), t(40));
         assert_eq!(plan.next_up_at(t(45)), t(45));
+        assert_eq!(plan.next_window_at(t(15)), Some(w(10, 40)));
         assert_eq!(plan.next_window_at(t(41)), Some(w(50, 60)));
         assert_eq!(plan.next_window_at(t(61)), None);
     }
 
     #[test]
-    fn poisson_outages_match_legacy_fault_plan_draw_order() {
-        // Same stream, same parameters → the disrupt plan must reproduce
-        // the exact windows the old net::fault::FaultPlan::poisson drew,
-        // because net's adapter delegates here.
+    fn poisson_outages_are_sorted_and_disjoint() {
         let mut rng = RngStream::derive(11, "faults");
         let plan = DisruptionPlan::poisson_outages(
             &mut rng,

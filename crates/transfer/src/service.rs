@@ -12,9 +12,10 @@
 //! produces a completed [`TransferTask`] with a full event history. Callers
 //! in the DES schedule their continuation at the task's completion time.
 
-use cumulus_net::{DataSize, FaultPlan, Link, Network, Rate};
+use cumulus_net::{DataSize, Link, Network, Rate};
+use cumulus_simkit::disrupt::DisruptionPlan;
 use cumulus_simkit::metrics::{MetricId, Metrics};
-use cumulus_simkit::retry::{RetryDecision, RetryPolicy as SharedRetryPolicy};
+use cumulus_simkit::retry::{RetryDecision, RetryPolicy};
 use cumulus_simkit::telemetry::{span::keys as span_keys, Key, Payload, SpanKind, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
@@ -208,52 +209,6 @@ impl From<EndpointError> for TransferError {
     }
 }
 
-/// Retry policy — a source-compatible adapter over the shared
-/// [`cumulus_simkit::retry`] plane.
-///
-/// Historically the transfer service owned its own backoff knobs; they now
-/// delegate to [`retry::RetryPolicy`](cumulus_simkit::retry::RetryPolicy)
-/// via [`RetryPolicy::to_shared`], preserving the exact legacy semantics:
-/// the first wait is `base_backoff`, each subsequent wait multiplies by
-/// `backoff_factor`, and the task fails once the fault count exceeds
-/// `max_retries` (i.e. `max_retries + 1` tolerated failures).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum fault retries before giving up.
-    pub max_retries: u32,
-    /// Base backoff after a fault.
-    pub base_backoff: SimDuration,
-    /// Backoff multiplier per consecutive fault.
-    pub backoff_factor: f64,
-}
-
-impl RetryPolicy {
-    /// The equivalent shared-plane policy: `max_retries` retries become
-    /// `max_retries + 1` tolerated attempts, the backoff curve carries over
-    /// unchanged, and jitter stays off so resolved timelines are
-    /// bit-identical to the pre-adapter behaviour.
-    pub fn to_shared(self) -> SharedRetryPolicy {
-        SharedRetryPolicy::new(self.max_retries.saturating_add(1))
-            .with_backoff(self.base_backoff, self.backoff_factor)
-    }
-}
-
-impl From<RetryPolicy> for SharedRetryPolicy {
-    fn from(p: RetryPolicy) -> Self {
-        p.to_shared()
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 10,
-            base_backoff: SimDuration::from_secs(15),
-            backoff_factor: 2.0,
-        }
-    }
-}
-
 /// The hosted service.
 pub struct TransferService {
     /// Endpoint directory.
@@ -261,7 +216,7 @@ pub struct TransferService {
     /// Users' registered credentials.
     pub credentials: CredentialStore,
     /// Fault plans keyed by unordered endpoint-name pair.
-    faults: BTreeMap<(String, String), FaultPlan>,
+    faults: BTreeMap<(String, String), DisruptionPlan>,
     retry: RetryPolicy,
     tasks: BTreeMap<TaskId, TransferTask>,
     next_task: u64,
@@ -322,7 +277,8 @@ impl TransferService {
         self.telemetry = telemetry;
     }
 
-    /// Override the retry policy.
+    /// Override the retry policy (default: [`RetryPolicy::default`], 11
+    /// tolerated faults with a 15 s backoff doubling per retry).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -335,7 +291,7 @@ impl TransferService {
     }
 
     /// Install a fault plan on the path between two endpoints.
-    pub fn set_fault_plan(&mut self, a: &str, b: &str, plan: FaultPlan) {
+    pub fn set_fault_plan(&mut self, a: &str, b: &str, plan: DisruptionPlan) {
         self.faults.insert(Self::pair_key(a, b), plan);
     }
 
@@ -347,11 +303,11 @@ impl TransferService {
         }
     }
 
-    fn fault_plan(&self, a: &str, b: &str) -> FaultPlan {
+    fn fault_plan(&self, a: &str, b: &str) -> DisruptionPlan {
         self.faults
             .get(&Self::pair_key(a, b))
             .cloned()
-            .unwrap_or_else(FaultPlan::none)
+            .unwrap_or_else(DisruptionPlan::none)
     }
 
     /// Submit a request at `now` and resolve it to completion.
@@ -486,7 +442,7 @@ fn resolve_transfer(
     request: TransferRequest,
     submitted_at: SimTime,
     link: &Link,
-    plan: &FaultPlan,
+    plan: &DisruptionPlan,
     retry: &RetryPolicy,
 ) -> TransferTask {
     let protocol = request.protocol;
@@ -519,10 +475,9 @@ fn resolve_transfer(
     let mut delivered = DataSize::ZERO;
     let mut retransmitted = DataSize::ZERO;
     let mut faults = 0u32;
-    // The shared retry plane drives the backoff schedule; `to_shared`
-    // preserves the legacy arithmetic exactly (first wait = base, then
-    // multiply; fail once faults exceed `max_retries`).
-    let mut retry_state = retry.to_shared().state();
+    // The shared retry plane drives the backoff schedule: first wait =
+    // base, then multiply; the `max_attempts`-th fault fails the task.
+    let mut retry_state = retry.state();
 
     let deadline = request.deadline.unwrap_or(SimTime::MAX);
 
@@ -537,7 +492,7 @@ fn resolve_transfer(
 
         // Does a fault interrupt this attempt?
         let interruption = plan
-            .next_fault_at(attempt_start)
+            .next_window_at(attempt_start)
             .filter(|o| o.start < would_finish);
 
         match interruption {
@@ -654,7 +609,7 @@ mod tests {
     use crate::credential::CertificateAuthority;
     use crate::endpoint::EndpointKind;
     use crate::protocol::calibrated_wan_link;
-    use cumulus_net::Outage;
+    use cumulus_simkit::disrupt::Window;
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -777,7 +732,7 @@ mod tests {
         f.service.set_fault_plan(
             "boliu#laptop",
             "cvrg#galaxy",
-            FaultPlan::from_windows(vec![Outage::new(t(60), t(90)).unwrap()]),
+            DisruptionPlan::from_windows(vec![Window::new(t(60), t(90)).unwrap()]),
         );
         let id = f
             .service
@@ -806,7 +761,7 @@ mod tests {
         f.service.set_fault_plan(
             "boliu#laptop",
             "cvrg#galaxy",
-            FaultPlan::from_windows(vec![Outage::new(t(100), t(130)).unwrap()]),
+            DisruptionPlan::from_windows(vec![Window::new(t(100), t(130)).unwrap()]),
         );
         let req = request(DataSize::from_mb(100)).with_protocol(Protocol::Ftp);
         let id = f.service.submit(t(0), &f.network, req).unwrap();
@@ -839,32 +794,21 @@ mod tests {
     #[test]
     fn retry_limit_fails_task() {
         let mut f = fixture();
-        // A wall of back-to-back outages defeats even 10 retries.
-        let windows: Vec<Outage> = (0..40)
-            .map(|i| Outage::new(t(i * 20), t(i * 20 + 19)).unwrap())
-            .collect();
-        f.service.set_fault_plan(
-            "boliu#laptop",
-            "cvrg#galaxy",
-            FaultPlan::from_windows(windows),
-        );
+        // A wall of back-to-back outages defeats a 3-fault budget.
         let service = std::mem::replace(
             &mut f.service,
-            TransferService::new().with_retry(RetryPolicy {
-                max_retries: 2,
-                base_backoff: SimDuration::from_secs(1),
-                backoff_factor: 1.0,
-            }),
+            TransferService::new()
+                .with_retry(RetryPolicy::new(3).with_backoff(SimDuration::from_secs(1), 1.0)),
         );
-        // Rebuild: move endpoints/credentials/faults from the old service.
+        // Rebuild: move endpoints/credentials from the old service.
         f.service.endpoints = service.endpoints;
         f.service.credentials = service.credentials;
         f.service.set_fault_plan(
             "boliu#laptop",
             "cvrg#galaxy",
-            FaultPlan::from_windows(
+            DisruptionPlan::from_windows(
                 (0..40)
-                    .map(|i| Outage::new(t(i * 20), t(i * 20 + 19)).unwrap())
+                    .map(|i| Window::new(t(i * 20), t(i * 20 + 19)).unwrap())
                     .collect(),
             ),
         );
@@ -901,7 +845,7 @@ mod tests {
         f.service.set_fault_plan(
             "boliu#laptop",
             "cvrg#galaxy",
-            FaultPlan::from_windows(vec![Outage::new(t(60), t(90)).unwrap()]),
+            DisruptionPlan::from_windows(vec![Window::new(t(60), t(90)).unwrap()]),
         );
         f.service
             .submit(t(0), &f.network, request(DataSize::from_gb(1)))
@@ -921,7 +865,7 @@ mod tests {
 
         // A deadline kill lands in its own bucket.
         f.service
-            .set_fault_plan("boliu#laptop", "cvrg#galaxy", FaultPlan::none());
+            .set_fault_plan("boliu#laptop", "cvrg#galaxy", DisruptionPlan::none());
         f.service
             .submit(
                 t(1000),
