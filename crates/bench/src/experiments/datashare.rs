@@ -252,17 +252,18 @@ pub fn run_cell_on(seed: u64, spec: BackendSpec, reuse: Reuse, telemetry: Teleme
         fed.seed_dataset(0, dataset_cid(idx), DataSize::from_mb(DATASET_MB));
     }
 
+    let stream = job_stream(seed, reuse);
     let drained = federation::run_episode(
         &mut fed,
         &mut Placer::new(PlacementPolicy::RoundRobin),
         &mut [],
-        &job_stream(seed, reuse),
+        &stream,
     );
 
     let site = fed.site(0);
     let (cache_hits, cache_misses, _evictions) = site.plane.fleet.totals();
     CellReport {
-        jobs: drained.jobs,
+        jobs: stream.len(),
         makespan_mins: drained.end.since(SimTime::ZERO).as_mins_f64(),
         staging_secs: drained.staging.as_secs_f64(),
         bytes_local: site.metrics.counter(staging_keys::BYTES_LOCAL),

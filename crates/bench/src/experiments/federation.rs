@@ -229,8 +229,6 @@ fn invocation_stream(seed: u64) -> Vec<Invocation> {
 
 /// What [`run_episode`] measured.
 pub(crate) struct Drained {
-    /// Jobs completed (always the whole stream).
-    pub(crate) jobs: usize,
     /// The latest completion across every site.
     pub(crate) end: SimTime,
     /// Staging time charged across every site.
@@ -328,7 +326,6 @@ pub(crate) fn run_episode(
     }
 
     Drained {
-        jobs: completed,
         end: fed.last_completion_at().expect("episode completed jobs"),
         staging,
         placements,
@@ -381,7 +378,7 @@ pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
             + m.counter(staging_keys::BYTES_INGEST);
     }
     FedCellReport {
-        jobs: drained.jobs,
+        jobs: stream.len(),
         makespan_mins: end.since(SimTime::ZERO).as_mins_f64(),
         staging_secs: drained.staging.as_secs_f64(),
         bytes_intra,

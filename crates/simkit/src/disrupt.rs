@@ -423,6 +423,8 @@ mod tests {
     fn windows_merge_and_answer_queries() {
         let plan = DisruptionPlan::from_windows(vec![w(20, 40), w(10, 30), w(50, 60)]);
         assert_eq!(plan.windows(), &[w(10, 40), w(50, 60)]);
+        assert!(!plan.is_down(t(9)));
+        assert!(plan.is_down(t(10)), "start is inclusive");
         assert!(plan.is_down(t(15)));
         assert!(!plan.is_down(t(40)), "half-open");
         assert_eq!(plan.next_up_at(t(15)), t(40));
@@ -441,7 +443,14 @@ mod tests {
             SimDuration::from_secs(300),
             SimDuration::from_secs(30),
         );
-        assert!(!plan.windows().is_empty());
+        assert!(
+            !plan.windows().is_empty(),
+            "expected some outages in an hour"
+        );
+        for w in plan.windows() {
+            assert!(w.start.as_secs() < 3600 + 600, "starts near the horizon");
+            assert!(w.end > w.start);
+        }
         for pair in plan.windows().windows(2) {
             assert!(pair[0].end <= pair[1].start, "sorted, non-overlapping");
         }
